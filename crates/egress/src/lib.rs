@@ -39,7 +39,7 @@ pub mod spill;
 pub use frame::{DataFrame, EgressRecord, MSG_EGRESS_ACK, MSG_EGRESS_DATA, MSG_EGRESS_HELLO};
 pub use server::{DeliverFn, EgressServer, EgressServerConfig, ServerStats};
 pub use sink::{EgressConfig, EgressHandle, EgressStats, TcpEgress};
-pub use spill::{SpillFrame, SpillQueue};
+pub use spill::{SpillQueue, SpillRun};
 
 use elasticutor_core::wire::WireError;
 
@@ -55,6 +55,11 @@ pub enum EgressError {
     /// A sealed spill segment failed validation — acknowledged-as-
     /// written bytes are damaged, which cannot be silently skipped.
     SpillCorrupt(&'static str),
+    /// Another live [`SpillQueue`] (in this process or another) already
+    /// owns this spill directory. Two owners would assign the same
+    /// delivery seqs and trim each other's segments, so the second
+    /// opener is refused until the first is dropped or its process dies.
+    AlreadyOwned(std::path::PathBuf),
     /// An I/O error outside the protocol itself (spill directory,
     /// connect, bind, …).
     Io(std::io::Error),
@@ -68,6 +73,13 @@ impl std::fmt::Display for EgressError {
                 write!(f, "egress protocol error: unexpected frame type {t:#x}")
             }
             EgressError::SpillCorrupt(what) => write!(f, "egress spill corrupt: {what}"),
+            EgressError::AlreadyOwned(dir) => {
+                write!(
+                    f,
+                    "egress spill dir {} is owned by a live queue",
+                    dir.display()
+                )
+            }
             EgressError::Io(e) => write!(f, "egress i/o error: {e}"),
         }
     }

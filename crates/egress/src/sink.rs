@@ -9,6 +9,22 @@
 //! watermark, stream outbox frames from the cursor, process ACKs, trim,
 //! and force a rewind-reconnect when ACKs stall past the deadline.
 //!
+//! The sender is event-driven, like the runtime's parked pumps. With
+//! nothing new in the outbox it parks on a condvar paired with the
+//! outbox mutex, and `consume` wakes it right after the append that
+//! ends the idleness — so a lone record ships at once instead of at the
+//! sender's next timeout. A `parked` flag, read and written under that
+//! mutex, limits the `notify` to appends that find the sender asleep:
+//! a busy sender costs the append path no syscall. Stop wakes it too.
+//! Each wakeup sends the whole contiguous run of ready frames (up to
+//! 1 MiB) with one outbox `pread` and one socket write.
+//! ACKs never wake the sender: it reads them without blocking once per
+//! [`EgressConfig::poll_interval`], streaming or idle — a park never
+//! outlasts the next ACK read — so the ACK deadline is still checked
+//! during a long drain. ACKs are therefore seen up to one
+//! `poll_interval` late; that delays trimming and
+//! [`EgressHandle::drain`], never delivery.
+//!
 //! Fail points: `egress.spill` fires before each outbox append (the
 //! accept path), `egress.write` before each socket write (the send
 //! path). `err` actions model transient disk/link failures — the append
@@ -17,7 +33,7 @@
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -28,6 +44,10 @@ use elasticutor_runtime::{Backoff, RecordBatch, Sink};
 use crate::frame::{decode_ctrl_frame, MSG_EGRESS_ACK, MSG_EGRESS_HELLO};
 use crate::spill::{SpillQueue, DEFAULT_SEGMENT_BYTES};
 use crate::EgressError;
+
+/// Byte cap of one cursor read: the most outbox bytes the sender puts
+/// into a single socket write (a lone larger frame still goes whole).
+const MAX_RUN_BYTES: u64 = 1 << 20;
 
 /// Tunables of a [`TcpEgress`] sink.
 #[derive(Clone, Debug)]
@@ -49,10 +69,13 @@ pub struct EgressConfig {
     /// Reconnect (and thereby retransmit from the receiver's watermark)
     /// when sent frames go unacknowledged this long.
     pub ack_deadline: Duration,
-    /// Socket write timeout and handshake deadline.
+    /// Socket write timeout and handshake deadline (also the HELLO
+    /// read timeout).
     pub io_timeout: Duration,
-    /// Pacing of the idle sender: how long a blocking ACK read waits
-    /// before re-checking the outbox for new frames.
+    /// How long an idle sender sleeps before it re-reads ACKs and
+    /// rechecks the ACK deadline; the sender reads ACKs once per
+    /// interval whether idle or streaming. Appends wake an idle sender
+    /// at once, so this paces ACK processing, never delivery.
     pub poll_interval: Duration,
     /// Outbox segment roll threshold.
     pub segment_bytes: u64,
@@ -107,7 +130,8 @@ pub struct EgressStats {
     /// Records re-sent after a rewind (upper bound on receiver-visible
     /// duplicates).
     pub records_retransmitted: u64,
-    /// Frames written to a socket.
+    /// Frames written to a socket (a run of frames sent in one write
+    /// counts each frame).
     pub frames_sent: u64,
     /// Established connections (1 = the initial connect).
     pub connects: u64,
@@ -151,6 +175,11 @@ struct Counters {
 
 struct Shared {
     spill: Mutex<SpillQueue>,
+    /// Wakes the parked sender (appends and stop ring it).
+    wakeup: Condvar,
+    /// Whether the sender is waiting on `wakeup`. Only read and written
+    /// under the `spill` lock, which makes the check-then-wait atomic.
+    parked: AtomicBool,
     counters: Counters,
     stop: AtomicBool,
     /// Monotonic-ns deadline for draining after stop (0 = none set).
@@ -197,6 +226,35 @@ impl Shared {
         }
         let deadline = self.drain_deadline_ns.load(Ordering::Acquire);
         deadline != 0 && elasticutor_runtime::monotonic_ns() >= deadline
+    }
+
+    /// Parks the idle sender until an append assigns a seq at or past
+    /// `next_to_send`, a stop arrives, or `timeout` passes; returns at
+    /// once if that seq is already assigned. The recheck and the wait
+    /// are one critical section of the lock `consume` appends under, so
+    /// an append can never slip between them.
+    fn park(&self, next_to_send: u64, timeout: Duration) {
+        let q = self.spill.lock().unwrap_or_else(|e| e.into_inner());
+        if q.next_seq() > next_to_send || self.should_exit() {
+            return;
+        }
+        self.parked.store(true, Ordering::Relaxed);
+        let (_q, _) = self
+            .wakeup
+            .wait_timeout(q, timeout)
+            .unwrap_or_else(|e| e.into_inner());
+        self.parked.store(false, Ordering::Relaxed);
+    }
+
+    /// Asks the sender to exit once drained or past `deadline_ns`, and
+    /// wakes it if parked.
+    fn request_stop(&self, deadline_ns: u64) {
+        self.drain_deadline_ns.store(deadline_ns, Ordering::Release);
+        self.stop.store(true, Ordering::Release);
+        // Through the lock: the sender either saw `stop` in its park
+        // recheck or is already waiting when the notify lands.
+        drop(self.spill.lock().unwrap_or_else(|e| e.into_inner()));
+        self.wakeup.notify_one();
     }
 
     fn on_ack(&self, watermark: u64) {
@@ -260,6 +318,8 @@ impl TcpEgress {
             .store(spill.next_seq() - 1, Ordering::Relaxed);
         let shared = Arc::new(Shared {
             spill: Mutex::new(spill),
+            wakeup: Condvar::new(),
+            parked: AtomicBool::new(false),
             counters,
             stop: AtomicBool::new(false),
             drain_deadline_ns: AtomicU64::new(0),
@@ -300,10 +360,7 @@ impl TcpEgress {
     pub fn shutdown(mut self, drain_timeout: Duration) -> EgressStats {
         let deadline = elasticutor_runtime::monotonic_ns()
             + drain_timeout.as_nanos().min(u128::from(u64::MAX) / 2) as u64;
-        self.shared
-            .drain_deadline_ns
-            .store(deadline, Ordering::Release);
-        self.shared.stop.store(true, Ordering::Release);
+        self.shared.request_stop(deadline);
         if let Some(t) = self.sender.take() {
             let _ = t.join();
         }
@@ -316,8 +373,7 @@ impl Drop for TcpEgress {
         // Dropped without shutdown(): stop immediately (no drain wait);
         // unacknowledged frames stay recoverable on disk.
         if let Some(t) = self.sender.take() {
-            self.shared.drain_deadline_ns.store(1, Ordering::Release);
-            self.shared.stop.store(true, Ordering::Release);
+            self.shared.request_stop(1);
             let _ = t.join();
         }
     }
@@ -345,7 +401,13 @@ impl Sink for TcpEgress {
             let mut q = self.shared.spill.lock().unwrap_or_else(|e| e.into_inner());
             match q.append(&batch) {
                 Ok((_, last_seq)) => {
+                    // Claim the wakeup under the lock: one notify per
+                    // park, none while the sender is busy.
+                    let wake = self.shared.parked.swap(false, Ordering::Relaxed);
                     drop(q);
+                    if wake {
+                        self.shared.wakeup.notify_one();
+                    }
                     let c = &self.shared.counters;
                     c.records_accepted
                         .fetch_add(batch.len() as u64, Ordering::Relaxed);
@@ -450,7 +512,8 @@ fn connect(addr: &str, timeout: Duration) -> std::io::Result<TcpStream> {
 fn run_session(shared: &Shared, config: &EgressConfig, sock: &TcpStream) -> SessionEnd {
     let _ = sock.set_nodelay(true);
     let _ = sock.set_write_timeout(Some(config.io_timeout));
-    let _ = sock.set_read_timeout(Some(config.poll_interval));
+    // Only the handshake blocks in `read`; ACK reads never do.
+    let _ = sock.set_read_timeout(Some(config.io_timeout));
 
     let mut scanner = FrameScanner::new();
     // Handshake: the receiver leads with its watermark.
@@ -474,67 +537,79 @@ fn run_session(shared: &Shared, config: &EgressConfig, sock: &TcpStream) -> Sess
     // receiver's dedup window swallows the overlap.
     let mut next_to_send = watermark + 1;
     let mut last_ack_progress = Instant::now();
+    let mut last_ack_read = Instant::now();
     use std::io::Write;
 
     loop {
         if shared.should_exit() {
             return SessionEnd::Exit;
         }
-        // Send phase: stream the next outbox frame, if any.
-        let frame = {
+        // Send phase: every ready frame from the cursor, one write.
+        let run = {
             let mut q = shared.spill.lock().unwrap_or_else(|e| e.into_inner());
-            q.frame_at_or_after(next_to_send)
+            q.read_run(next_to_send, MAX_RUN_BYTES)
         };
-        let wrote = match frame {
-            Err(_) => {
-                // Outbox read failure mid-run: transient (EINTR, racing
-                // trim). Back off via the idle path.
-                false
-            }
-            Ok(None) => false,
-            Ok(Some(f)) => {
+        // The seq whose append ends the park (see below).
+        let mut wait_for = next_to_send;
+        match run {
+            // Outbox read failure mid-run: transient (EINTR, racing
+            // trim). Wait out the interval (or an append) rather than
+            // spin on the frames it could not read.
+            Err(_) => wait_for = u64::MAX,
+            Ok(None) => {}
+            Ok(Some(run)) => {
                 if fault::fail_point("egress.write").is_err() {
                     return SessionEnd::Reconnect;
                 }
-                if (&mut (&*sock)).write_all(&f.bytes).is_err() {
+                if (&mut (&*sock)).write_all(&run.bytes).is_err() {
                     return SessionEnd::Reconnect;
                 }
                 let c = &shared.counters;
-                let count = f.last_seq - f.first_seq + 1;
-                c.frames_sent.fetch_add(1, Ordering::Relaxed);
-                c.records_sent.fetch_add(count, Ordering::Relaxed);
-                let prev_max = c.max_sent.fetch_max(f.last_seq, Ordering::Relaxed);
-                if f.first_seq <= prev_max {
-                    let dup = prev_max.min(f.last_seq) - f.first_seq + 1;
+                c.frames_sent.fetch_add(run.frames, Ordering::Relaxed);
+                c.records_sent
+                    .fetch_add(run.last_seq - run.first_seq + 1, Ordering::Relaxed);
+                let prev_max = c.max_sent.fetch_max(run.last_seq, Ordering::Relaxed);
+                if run.first_seq <= prev_max {
+                    let dup = prev_max.min(run.last_seq) - run.first_seq + 1;
                     c.records_retransmitted.fetch_add(dup, Ordering::Relaxed);
                 }
-                next_to_send = f.last_seq + 1;
-                true
+                next_to_send = run.last_seq + 1;
+                wait_for = next_to_send;
             }
-        };
-
-        // ACK phase: opportunistic (non-blocking) while streaming, a
-        // blocking poll-interval read when idle — idleness paces the
-        // loop, backlog never waits on it.
-        match drain_acks(sock, &mut scanner, !wrote) {
-            Ok(Some(wm)) => {
-                shared.on_ack(wm);
-                last_ack_progress = Instant::now();
-            }
-            Ok(None) => {}
-            Err(()) => return SessionEnd::Reconnect,
         }
 
-        let acked = shared.counters.acked.load(Ordering::Acquire);
-        if acked + 1 >= next_to_send {
-            // Nothing in flight.
-            last_ack_progress = Instant::now();
-        } else if last_ack_progress.elapsed() >= config.ack_deadline {
-            // Sent frames unacknowledged past the deadline: the link or
-            // receiver is wedged. Reconnect; the HELLO watermark rewinds
-            // the cursor and everything unacked is retransmitted.
-            return SessionEnd::Reconnect;
+        // ACK phase: non-blocking, once per poll interval whether
+        // streaming or idle (and on every pass while stopping, so a
+        // drained stop exits at once). ACKs never wake the sender, and
+        // a backlog never waits on them.
+        if last_ack_read.elapsed() >= config.poll_interval || shared.stop.load(Ordering::Acquire) {
+            match drain_acks(sock, &mut scanner) {
+                Ok(Some(wm)) => {
+                    shared.on_ack(wm);
+                    last_ack_progress = Instant::now();
+                }
+                Ok(None) => {}
+                Err(()) => return SessionEnd::Reconnect,
+            }
+            last_ack_read = Instant::now();
+            let acked = shared.counters.acked.load(Ordering::Acquire);
+            if acked + 1 >= next_to_send {
+                // Nothing in flight.
+                last_ack_progress = last_ack_read;
+            } else if last_ack_progress.elapsed() >= config.ack_deadline {
+                // Sent frames unacknowledged past the deadline: the link
+                // or receiver is wedged. Reconnect; the HELLO watermark
+                // rewinds the cursor and everything unacked is
+                // retransmitted.
+                return SessionEnd::Reconnect;
+            }
         }
+
+        // Returns at once while frames are ready (a streaming sender
+        // never sleeps); otherwise sleeps until an append, a stop, or
+        // the next ACK read falls due.
+        let ack_due = config.poll_interval.saturating_sub(last_ack_read.elapsed());
+        shared.park(wait_for, ack_due);
     }
 }
 
@@ -576,15 +651,16 @@ fn read_watermark(
     }
 }
 
-/// Drains every available ACK, returning the highest watermark seen (if
-/// any). `blocking` uses the socket's read timeout; otherwise the read
-/// is non-blocking so a streaming sender never stalls on it.
-fn drain_acks(
-    sock: &TcpStream,
-    scanner: &mut FrameScanner,
-    blocking: bool,
-) -> Result<Option<u64>, ()> {
-    let _ = sock.set_nonblocking(!blocking);
+/// Drains every ACK already received, without blocking, returning the
+/// highest watermark seen (if any).
+fn drain_acks(sock: &TcpStream, scanner: &mut FrameScanner) -> Result<Option<u64>, ()> {
+    let _ = sock.set_nonblocking(true);
+    let result = read_acks(sock, scanner);
+    let _ = sock.set_nonblocking(false);
+    result
+}
+
+fn read_acks(sock: &TcpStream, scanner: &mut FrameScanner) -> Result<Option<u64>, ()> {
     let mut best: Option<u64> = None;
     let mut buf = [0u8; 4096];
     use std::io::Read;
@@ -592,29 +668,16 @@ fn drain_acks(
         // Frames already buffered first.
         while let Some((t, payload)) = scanner.next_frame().map_err(|_| ())? {
             if t != MSG_EGRESS_ACK {
-                let _ = sock.set_nonblocking(false);
                 return Err(());
             }
             let wm = decode_ctrl_frame(MSG_EGRESS_ACK, &payload).map_err(|_| ())?;
             best = Some(best.map_or(wm, |b| b.max(wm)));
         }
         match (&mut (&*sock)).read(&mut buf) {
-            Ok(0) => {
-                let _ = sock.set_nonblocking(false);
-                return Err(());
-            }
+            Ok(0) => return Err(()),
             Ok(n) => scanner.extend(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                let _ = sock.set_nonblocking(false);
-                return Ok(best);
-            }
-            Err(_) => {
-                let _ = sock.set_nonblocking(false);
-                return Err(());
-            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(best),
+            Err(_) => return Err(()),
         }
     }
 }

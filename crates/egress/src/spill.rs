@@ -15,10 +15,14 @@
 //! A directory of segment files `spill-<first_seq 16-hex>.seg`, each a
 //! back-to-back run of checked DATA frames — the **exact bytes** that
 //! go on the socket, so draining is `write(2)` of stored bytes, no
-//! re-encoding. The file name carries the first delivery seq assigned
-//! in that segment, which keeps the seq counter monotonic across
-//! restarts even when a segment is empty (nothing was appended after a
-//! roll) or fully trimmed.
+//! re-encoding: the sender's cursor read ([`SpillQueue::read_run`])
+//! returns every ready frame that sits contiguously in one segment as
+//! one byte range, read with one `pread` and sent with one write. The
+//! file name carries the first delivery seq assigned in that segment,
+//! which keeps the seq counter monotonic across restarts even when a
+//! segment is empty (nothing was appended after a roll) or fully
+//! trimmed. A `LOCK` file beside the segments holds an exclusive
+//! `flock` for as long as the queue is open: one directory, one owner.
 //!
 //! # Durability contract
 //!
@@ -31,7 +35,9 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
+use std::os::unix::io::AsRawFd;
 use std::path::{Path, PathBuf};
 
 use elasticutor_core::wire::{FRAME_HEADER_LEN, MAX_FRAME_LEN, WIRE_VERSION};
@@ -43,15 +49,18 @@ use crate::EgressError;
 /// Default segment roll threshold.
 pub const DEFAULT_SEGMENT_BYTES: u64 = 8 * 1024 * 1024;
 
-/// One raw frame handed to the sender: the delivery-seq range it covers
-/// and the exact wire bytes to put on the socket.
+/// A contiguous run of whole frames handed to the sender: the
+/// delivery-seq range it covers, how many frames it holds, and the
+/// exact wire bytes to put on the socket.
 #[derive(Clone, Debug)]
-pub struct SpillFrame {
-    /// Delivery seq of the first record in the frame.
+pub struct SpillRun {
+    /// Delivery seq of the first record in the run's first frame.
     pub first_seq: u64,
-    /// Delivery seq of the last record in the frame.
+    /// Delivery seq of the last record in the run's last frame.
     pub last_seq: u64,
-    /// Complete wire frame (header + checked payload).
+    /// Number of frames in the run.
+    pub frames: u64,
+    /// The frames back to back (header + checked payload each).
     pub bytes: Vec<u8>,
 }
 
@@ -95,6 +104,9 @@ pub struct SpillQueue {
     next_seq: u64,
     /// Cached read handle (segment first_seq, file) for cursor reads.
     reader: Option<(u64, File)>,
+    /// Open `LOCK` file holding the directory's exclusive `flock`;
+    /// closing it (dropping the queue) releases the directory.
+    _lock: File,
 }
 
 fn segment_path(dir: &Path, first_seq: u64) -> PathBuf {
@@ -153,9 +165,21 @@ impl SpillQueue {
     /// previous process left behind. The newest segment's torn tail is
     /// truncated; damage in an older (sealed) segment is a typed error
     /// — sealed bytes were acknowledged as written, losing them is loss.
+    /// A directory another live queue holds open is
+    /// [`EgressError::AlreadyOwned`].
     pub fn open(dir: impl Into<PathBuf>, segment_bytes: u64) -> Result<Self, EgressError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        // Own the directory before reading it: a second owner would
+        // reuse delivery seqs and trim segments out from under us.
+        let lock = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join("LOCK"))?;
+        if !epoll::try_lock_exclusive(lock.as_raw_fd())? {
+            return Err(EgressError::AlreadyOwned(dir));
+        }
         let mut seg_firsts: Vec<u64> = std::fs::read_dir(&dir)?
             .filter_map(|e| e.ok())
             .filter_map(|e| parse_segment_name(&e.path()))
@@ -222,6 +246,7 @@ impl SpillQueue {
             frames,
             next_seq,
             reader: None,
+            _lock: lock,
         })
     }
 
@@ -296,37 +321,49 @@ impl SpillQueue {
         self.segments.values().map(|s| s.bytes).sum()
     }
 
-    /// Reads the first frame whose `last_seq >= seq` — the sender's
-    /// cursor read. `None` means everything at or after `seq` is still
-    /// unwritten (caller waits for appends).
-    pub fn frame_at_or_after(&mut self, seq: u64) -> Result<Option<SpillFrame>, EgressError> {
+    /// The sender's cursor read: starting at the first frame whose
+    /// `last_seq >= seq`, returns the run of frames that follow it
+    /// back to back in the same segment, up to `max_bytes` — but always
+    /// at least that first frame, however large. One `pread` fills the
+    /// run. `None` means everything at or after `seq` is still unwritten
+    /// (the caller waits for appends).
+    pub fn read_run(&mut self, seq: u64, max_bytes: u64) -> Result<Option<SpillRun>, EgressError> {
         // The frame containing `seq` starts at the greatest first_seq
         // <= seq (frames are contiguous); if that frame ends before
         // `seq` (trimmed boundary), the next index entry is the one.
-        let loc = self
+        let start = self
             .frames
             .range(..=seq)
             .next_back()
             .filter(|(_, l)| l.last_seq >= seq)
             .or_else(|| self.frames.range(seq..).next())
             .map(|(&first, &loc)| (first, loc));
-        let Some((first, loc)) = loc else {
+        let Some((first_seq, head)) = start else {
             return Ok(None);
         };
-        if !matches!(&self.reader, Some((seg, _)) if *seg == loc.seg) {
+        let (mut end, mut last_seq, mut frames) = (head.offset + head.len, head.last_seq, 1u64);
+        for loc in self.frames.range(first_seq + 1..).map(|(_, l)| l) {
+            if loc.seg != head.seg || loc.offset != end || end + loc.len - head.offset > max_bytes {
+                break;
+            }
+            end += loc.len;
+            last_seq = loc.last_seq;
+            frames += 1;
+        }
+        if !matches!(&self.reader, Some((seg, _)) if *seg == head.seg) {
             let seg = self
                 .segments
-                .get(&loc.seg)
+                .get(&head.seg)
                 .expect("indexed frame has a segment");
-            self.reader = Some((loc.seg, File::open(&seg.path)?));
+            self.reader = Some((head.seg, File::open(&seg.path)?));
         }
-        let (_, file) = self.reader.as_mut().expect("reader just set");
-        file.seek(SeekFrom::Start(loc.offset))?;
-        let mut bytes = vec![0u8; loc.len as usize];
-        file.read_exact(&mut bytes)?;
-        Ok(Some(SpillFrame {
-            first_seq: first,
-            last_seq: loc.last_seq,
+        let (_, file) = self.reader.as_ref().expect("reader just set");
+        let mut bytes = vec![0u8; (end - head.offset) as usize];
+        file.read_exact_at(&mut bytes, head.offset)?;
+        Ok(Some(SpillRun {
+            first_seq,
+            last_seq,
+            frames,
             bytes,
         }))
     }
@@ -391,6 +428,11 @@ mod tests {
             .collect()
     }
 
+    /// Single-frame read: a zero byte cap still returns one frame.
+    fn frame_at(q: &mut SpillQueue, seq: u64) -> Option<SpillRun> {
+        q.read_run(seq, 0).unwrap()
+    }
+
     #[test]
     fn append_read_trim_roundtrip() {
         let dir = tmp("roundtrip");
@@ -401,18 +443,18 @@ mod tests {
         assert_eq!((f1, l1), (1, 3));
         assert_eq!((f2, l2), (4, 5));
 
-        let fr = q.frame_at_or_after(1).unwrap().unwrap();
-        assert_eq!((fr.first_seq, fr.last_seq), (1, 3));
+        let fr = frame_at(&mut q, 1).unwrap();
+        assert_eq!((fr.first_seq, fr.last_seq, fr.frames), (1, 3, 1));
         // Mid-frame seq lands on the frame containing it.
-        let fr = q.frame_at_or_after(2).unwrap().unwrap();
+        let fr = frame_at(&mut q, 2).unwrap();
         assert_eq!((fr.first_seq, fr.last_seq), (1, 3));
-        let fr = q.frame_at_or_after(4).unwrap().unwrap();
+        let fr = frame_at(&mut q, 4).unwrap();
         assert_eq!((fr.first_seq, fr.last_seq), (4, 5));
-        assert!(q.frame_at_or_after(6).unwrap().is_none());
+        assert!(frame_at(&mut q, 6).is_none());
 
         q.trim(3).unwrap();
         assert_eq!(q.frame_count(), 1);
-        let fr = q.frame_at_or_after(2).unwrap().unwrap();
+        let fr = frame_at(&mut q, 2).unwrap();
         assert_eq!((fr.first_seq, fr.last_seq), (4, 5));
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -431,8 +473,133 @@ mod tests {
         let mut q = SpillQueue::open(&dir, 128).unwrap();
         assert_eq!(q.next_seq(), 41);
         assert_eq!(q.frame_count(), 10);
-        let fr = q.frame_at_or_after(17).unwrap().unwrap();
+        let fr = frame_at(&mut q, 17).unwrap();
         assert!(fr.first_seq <= 17 && fr.last_seq >= 17);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_from_mid_frame_covers_every_ready_frame() {
+        let dir = tmp("run-mid");
+        let mut q = SpillQueue::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+        for i in 0..3 {
+            q.append(&recs(3, i)).unwrap();
+        }
+        // Seq 5 sits inside the second frame (4..=6): the run starts
+        // at that frame and carries the rest of the ready frames.
+        let run = q.read_run(5, u64::MAX).unwrap().unwrap();
+        assert_eq!((run.first_seq, run.last_seq, run.frames), (4, 9, 2));
+        // From the last frame's interior to the end: one frame.
+        let run = q.read_run(9, u64::MAX).unwrap().unwrap();
+        assert_eq!((run.first_seq, run.last_seq, run.frames), (7, 9, 1));
+        assert!(q.read_run(10, u64::MAX).unwrap().is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_stops_at_a_segment_roll() {
+        let dir = tmp("run-roll");
+        let mut q = SpillQueue::open(&dir, 128).unwrap();
+        for i in 0..10 {
+            q.append(&recs(4, i)).unwrap();
+        }
+        let second = *q.segments.keys().nth(1).expect("expected a roll");
+        let run = q.read_run(1, u64::MAX).unwrap().unwrap();
+        assert_eq!(run.first_seq, 1);
+        assert_eq!(
+            run.last_seq + 1,
+            second,
+            "run crosses into the next segment"
+        );
+        assert_eq!(run.bytes.len() as u64, q.segments[&1].bytes);
+        // The next read picks up at the new segment's first frame.
+        let next = q.read_run(run.last_seq + 1, u64::MAX).unwrap().unwrap();
+        assert_eq!(next.first_seq, second);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_stops_at_the_byte_cap_but_returns_at_least_one_frame() {
+        let dir = tmp("run-cap");
+        let mut q = SpillQueue::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+        for i in 0..4 {
+            q.append(&recs(2, i)).unwrap();
+        }
+        let one = frame_at(&mut q, 1).unwrap().bytes.len() as u64;
+        let two = one + frame_at(&mut q, 3).unwrap().bytes.len() as u64;
+        // A cap of exactly two frames takes two, one byte less takes one.
+        let run = q.read_run(1, two).unwrap().unwrap();
+        assert_eq!(
+            (run.frames, run.last_seq, run.bytes.len() as u64),
+            (2, 4, two)
+        );
+        let run = q.read_run(1, two - 1).unwrap().unwrap();
+        assert_eq!((run.frames, run.last_seq), (1, 2));
+        // A frame larger than the cap on its own still goes out whole.
+        let big: Vec<Record> = vec![Record::new(Key(1), Bytes::from(vec![7u8; 4096]))];
+        let (f, l) = q.append(&big).unwrap();
+        let run = q.read_run(f, 64).unwrap().unwrap();
+        assert_eq!((run.first_seq, run.last_seq, run.frames), (f, l, 1));
+        assert!(run.bytes.len() > 4096);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_starts_just_after_a_trim() {
+        let dir = tmp("run-trim");
+        let mut q = SpillQueue::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+        for i in 0..4 {
+            q.append(&recs(2, i)).unwrap();
+        }
+        q.trim(4).unwrap();
+        // The cursor is behind the trim point: the run starts at the
+        // first untrimmed frame, whose bytes sit mid-segment.
+        for seq in [1, 5] {
+            let run = q.read_run(seq, u64::MAX).unwrap().unwrap();
+            assert_eq!((run.first_seq, run.last_seq, run.frames), (5, 8, 2));
+            let tail = scan_segment(1, &run.bytes);
+            assert_eq!(tail.0.len(), 2, "run must hold whole frames");
+            assert!(!tail.2, "run bytes must scan clean");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_bytes_equal_concatenated_single_frame_reads() {
+        let dir = tmp("run-concat");
+        let mut q = SpillQueue::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+        for i in 0..6 {
+            q.append(&recs(1 + i as usize, i)).unwrap();
+        }
+        let run = q.read_run(1, u64::MAX).unwrap().unwrap();
+        let mut concat = Vec::new();
+        let mut seq = 1;
+        let mut frames = 0;
+        while let Some(fr) = frame_at(&mut q, seq) {
+            concat.extend_from_slice(&fr.bytes);
+            seq = fr.last_seq + 1;
+            frames += 1;
+        }
+        assert_eq!(run.frames, frames);
+        assert_eq!(run.last_seq, seq - 1);
+        assert_eq!(run.bytes, concat);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn second_live_owner_is_refused_until_the_first_drops() {
+        let dir = tmp("owner");
+        let mut first = SpillQueue::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+        first.append(&recs(2, 0x5A)).unwrap();
+        match SpillQueue::open(&dir, DEFAULT_SEGMENT_BYTES) {
+            Err(EgressError::AlreadyOwned(d)) => assert_eq!(d, dir),
+            other => panic!("expected AlreadyOwned, got {other:?}"),
+        }
+        // The refused opener changed nothing: the owner keeps appending.
+        assert_eq!(first.append(&recs(1, 0x5B)).unwrap(), (3, 3));
+        drop(first);
+        let second = SpillQueue::open(&dir, DEFAULT_SEGMENT_BYTES).unwrap();
+        assert_eq!((second.next_seq(), second.frame_count()), (4, 2));
         std::fs::remove_dir_all(&dir).ok();
     }
 

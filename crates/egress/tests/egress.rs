@@ -10,14 +10,21 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use elasticutor_core::ids::Key;
-use elasticutor_egress::{frame, EgressConfig, EgressServer, EgressServerConfig, TcpEgress};
+use elasticutor_egress::{
+    frame, EgressConfig, EgressError, EgressServer, EgressServerConfig, TcpEgress,
+};
 use elasticutor_ingress::FrameScanner;
 use elasticutor_runtime::{Backoff, ExecutorConfig, FifoChecker, Ingest, Pipeline, Record, Sink};
 
+/// A fresh directory per call: name, pid and a per-process counter, so
+/// tests running in parallel (or one test calling a fixture twice)
+/// never share a spill directory.
 fn tmp_dir(name: &str) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     let p = std::env::temp_dir().join(format!(
-        "elasticutor-egress-test-{name}-{}",
-        std::process::id()
+        "elasticutor-egress-test-{name}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&p);
     p
@@ -259,6 +266,118 @@ fn fails_over_to_standby_when_primary_is_dead() {
     assert_eq!(collector.total.load(Ordering::Acquire), N as u64);
     assert!(collector.fifo.is_clean());
     standby.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The sender is woken by the append, not by its poll timer: with a 2 s
+/// `poll_interval`, each lone record must still arrive in well under
+/// that — a sender that only finds new frames when a timed wait
+/// expires would take up to the full interval per record.
+#[test]
+fn lone_records_ship_on_append_not_on_the_poll_interval() {
+    let dir = tmp_dir("wake");
+    let collector = Collector::new();
+    let server = EgressServer::bind(
+        EgressServerConfig::new("127.0.0.1:0"),
+        collector.deliver_fn(),
+    )
+    .unwrap();
+    let mut config = EgressConfig::new(server.local_addr().to_string(), dir.join("spill"));
+    config.poll_interval = Duration::from_secs(2);
+    let mut egress = TcpEgress::new(config).unwrap();
+    let handle = egress.handle();
+    assert!(wait_until(Duration::from_secs(5), || handle
+        .stats()
+        .connected));
+
+    for i in 1..=20u64 {
+        let start = Instant::now();
+        egress.consume(vec![Record::new(
+            Key(i % 3),
+            Bytes::from(vec![i as u8; 16]),
+        )
+        .with_seq(i)]);
+        assert!(
+            wait_until(Duration::from_secs(5), || {
+                collector.total.load(Ordering::Acquire) == i
+            }),
+            "record {i} never delivered"
+        );
+        let took = start.elapsed();
+        assert!(
+            took < Duration::from_millis(500),
+            "record {i} took {took:?}: the append did not wake the sender"
+        );
+    }
+    let stats = egress.shutdown(Duration::from_secs(10));
+    assert_eq!(stats.acked, 20);
+    assert_eq!(stats.frames_sent, 20);
+    assert!(collector.fifo.is_clean());
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Stop wakes a parked sender: shutting down an idle, drained egress
+/// must not wait out the sender's 2 s `poll_interval`.
+#[test]
+fn shutdown_of_an_idle_egress_is_prompt() {
+    let dir = tmp_dir("stop");
+    let collector = Collector::new();
+    let server = EgressServer::bind(
+        EgressServerConfig::new("127.0.0.1:0"),
+        collector.deliver_fn(),
+    )
+    .unwrap();
+    let mut config = EgressConfig::new(server.local_addr().to_string(), dir.join("spill"));
+    config.poll_interval = Duration::from_secs(2);
+    let mut egress = TcpEgress::new(config).unwrap();
+    egress.consume(records(1, 1));
+    assert!(
+        egress.handle().drain(Duration::from_secs(10)),
+        "never drained"
+    );
+    // Let the sender settle into its park.
+    std::thread::sleep(Duration::from_millis(50));
+
+    let start = Instant::now();
+    let stats = egress.shutdown(Duration::from_secs(10));
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "shutdown of an idle egress took {took:?}"
+    );
+    assert_eq!(stats.acked, 1);
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One spill directory, one live owner: a second egress on the same
+/// directory is refused while any handle keeps the first one's outbox
+/// open, and recovers that outbox once the last handle is gone.
+#[test]
+fn second_egress_on_a_live_spill_dir_is_refused() {
+    let dir = tmp_dir("owner");
+    let spill = dir.join("spill");
+    let addr = dead_addr();
+    let mut first = TcpEgress::new(EgressConfig::new(&addr, &spill)).unwrap();
+    first.consume(records(2, 5));
+    let handle = first.handle();
+    drop(first);
+    match TcpEgress::new(EgressConfig::new(&addr, &spill)) {
+        Err(EgressError::AlreadyOwned(d)) => assert_eq!(d, spill),
+        Err(e) => panic!("expected AlreadyOwned, got {e}"),
+        Ok(_) => panic!("a second owner opened a live spill dir"),
+    }
+    assert_eq!(
+        handle.stats().spill_frames,
+        1,
+        "refused opener touched the outbox"
+    );
+    drop(handle);
+    let second = TcpEgress::new(EgressConfig::new(&addr, &spill)).unwrap();
+    let stats = second.stats();
+    assert_eq!((stats.last_appended, stats.spill_frames), (10, 1));
+    drop(second);
     std::fs::remove_dir_all(&dir).ok();
 }
 

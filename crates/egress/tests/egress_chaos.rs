@@ -28,10 +28,15 @@ use elasticutor_egress::{EgressConfig, EgressServer, EgressServerConfig, TcpEgre
 use elasticutor_ingress::FrameScanner;
 use elasticutor_runtime::{Record, Sink};
 
+/// A fresh directory per call: name, pid and a per-process counter, so
+/// tests running in parallel (or one test calling a fixture twice)
+/// never share a spill directory.
 fn tmp_dir(name: &str) -> std::path::PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
     let p = std::env::temp_dir().join(format!(
-        "elasticutor-egress-chaos-{name}-{}",
-        std::process::id()
+        "elasticutor-egress-chaos-{name}-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
     ));
     let _ = std::fs::remove_dir_all(&p);
     p

@@ -1,9 +1,9 @@
-//! Minimal safe wrapper over Linux `epoll` and `eventfd`.
+//! Minimal safe wrapper over Linux `epoll`, `eventfd` and `flock`.
 //!
 //! The workspace has no registry access, so instead of `mio` this shim
-//! declares the four syscalls the ingress plane needs (`epoll_create1`,
-//! `epoll_ctl`, `epoll_wait`, `eventfd`) directly against the libc the
-//! binary is already linked with, and wraps them in an RAII,
+//! declares the syscalls the network planes need (`epoll_create1`,
+//! `epoll_ctl`, `epoll_wait`, `eventfd`, `flock`) directly against the
+//! libc the binary is already linked with, and wraps them in an RAII,
 //! `io::Result`-surfacing API:
 //!
 //! * [`Epoll`] — a level-triggered readiness queue: register file
@@ -12,6 +12,8 @@
 //! * [`EventFd`] — a wakeup doorbell another thread can ring to unpark
 //!   an [`Epoll::wait`] (used for stop signals and new-connection
 //!   handoff).
+//! * [`try_lock_exclusive`] — a non-blocking exclusive `flock`, how an
+//!   on-disk owner (the egress outbox) refuses a second live opener.
 //!
 //! Linux-only by design (the CI runner and every deployment target of
 //! this project are Linux); the `extern "C"` declarations follow the
@@ -39,6 +41,8 @@ const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0x80000;
 const EFD_CLOEXEC: c_int = 0x80000;
 const EFD_NONBLOCK: c_int = 0x800;
+const LOCK_EX: c_int = 2;
+const LOCK_NB: c_int = 4;
 
 /// `struct epoll_event` with the x86-64 Linux kernel layout (packed:
 /// 4-byte `events` immediately followed by the 8-byte cookie).
@@ -54,6 +58,7 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut RawEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut RawEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn eventfd(initval: c_uint, flags: c_int) -> c_int;
+    fn flock(fd: c_int, operation: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
@@ -227,6 +232,28 @@ impl Drop for EventFd {
     }
 }
 
+/// Takes an exclusive advisory lock on the open file `fd`
+/// (`flock(LOCK_EX | LOCK_NB)`) without waiting. Returns `Ok(false)`
+/// when another open file description holds it — another process, or
+/// another `open` of the same file in this one. The lock lives as long
+/// as the open file description: closing the file releases it, and so
+/// does the death of the owning process. `EINTR` retries transparently.
+pub fn try_lock_exclusive(fd: i32) -> io::Result<bool> {
+    loop {
+        // SAFETY: `flock` takes two integers and touches no memory of
+        // ours; an invalid `fd` is reported as `EBADF`, not UB.
+        if unsafe { flock(fd, LOCK_EX | LOCK_NB) } == 0 {
+            return Ok(true);
+        }
+        let err = io::Error::last_os_error();
+        match err.kind() {
+            io::ErrorKind::Interrupted => continue,
+            io::ErrorKind::WouldBlock => return Ok(false),
+            _ => return Err(err),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,5 +318,21 @@ mod tests {
         assert_eq!(ep.wait(&mut out, 0).unwrap(), 0);
         // Double-delete surfaces the OS error instead of panicking.
         assert!(ep.delete(bell.raw_fd()).is_err());
+    }
+
+    #[test]
+    fn exclusive_lock_excludes_a_second_open_until_the_first_closes() {
+        use std::os::unix::io::AsRawFd;
+        let path = std::env::temp_dir().join(format!("epoll-shim-lock-{}", std::process::id()));
+        let first = std::fs::File::create(&path).unwrap();
+        assert!(try_lock_exclusive(first.as_raw_fd()).unwrap());
+        // Re-locking through the same open file description is a no-op.
+        assert!(try_lock_exclusive(first.as_raw_fd()).unwrap());
+        let second = std::fs::File::open(&path).unwrap();
+        assert!(!try_lock_exclusive(second.as_raw_fd()).unwrap());
+        drop(first);
+        assert!(try_lock_exclusive(second.as_raw_fd()).unwrap());
+        drop(second);
+        std::fs::remove_file(&path).ok();
     }
 }
